@@ -389,7 +389,36 @@ run_bench_load() {
   validate_bench_json build/BENCH_load.json
   validate_bench_json build/BENCH_analytics.json
   validate_trace build/BENCH_load_trace.json
+  # Run-twice determinism check for the gossip path (DESIGN.md §11.2): a
+  # second run must reproduce every virtual-time field of BENCH_load.json.
+  cp build/BENCH_load.json build/BENCH_load.first.json
+  ( cd build && ./bench/bench_load_scale > /dev/null )
+  same_virtual_fields build/BENCH_load.first.json build/BENCH_load.json
   run_bench_drain
+}
+
+# Fail unless two bench exports agree on every virtual-time field.  Host-time
+# fields (any key with a "wall" or "host" word, e.g. wall_s, host_ms) may
+# differ between runs and are dropped before comparing.
+same_virtual_fields() {
+  python3 - "$1" "$2" <<'EOF'
+import json, re, sys
+
+HOST = re.compile(r"(^|_)(wall|host)(_|$)")
+
+def virtual(x):
+    if isinstance(x, dict):
+        return {k: virtual(v) for k, v in x.items() if not HOST.search(k)}
+    if isinstance(x, list):
+        return [virtual(v) for v in x]
+    return x
+
+a, b = (virtual(json.load(open(p))) for p in sys.argv[1:3])
+if a != b:
+    sys.exit(f"{sys.argv[2]}: virtual-time fields differ from the first run "
+             f"({sys.argv[1]}): not deterministic")
+print(f"run-twice: {sys.argv[2]} virtual-time fields reproduced")
+EOF
 }
 
 # Build and run the drain-a-host bench (32 tasks evacuated by k concurrent

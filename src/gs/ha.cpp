@@ -8,22 +8,17 @@ namespace cpe::gs {
 
 namespace {
 
-/// Modelled wire size of a replica-to-replica message: a fixed header plus
-/// the serialized durable state on heartbeats.
-std::size_t wire_bytes(const GsWireMessage& m) {
-  std::size_t b = 64;
-  // Per decision: timestamp (8) + ok (1) + reason (1) + load (8) + length
-  // prefix (7, keeps the old 16-byte alignment) + the text itself.
-  for (const Decision& d : m.state.journal) b += 25 + d.what.size();
-  for (const auto& [name, until] : m.state.blacklist) b += name.size() + 8;
-  for (const auto& [name, up] : m.state.host_up) b += name.size() + 1;
-  b += m.state.reported_lost.size() * 4;
-  for (const auto& name : m.state.pending_vacates) b += name.size() + 4;
-  // Per in-flight migration: unit (8) + since (8) + the two host names.
-  for (const auto& f : m.state.in_flight_migrations)
-    b += 16 + f.from.size() + f.to.size();
-  return b;
-}
+/// Charged wire size of a replica-to-replica message: the fixed header.
+/// The wire model also prices the durable state a heartbeat carries — per
+/// decision 25 B + its text, per blacklist entry name + 8 B, per host-up
+/// entry name + 1 B, 4 B per reported loss, per pending vacate name + 4 B,
+/// per in-flight migration 16 B + both host names — but that is not
+/// charged.  The send used to be written as
+/// Datagram(..., wire_bytes(msg), std::move(msg)), and argument evaluation
+/// order is unspecified: GCC builds the payload first, so the size was
+/// always taken from a moved-from, empty message.  Virtual time is pinned
+/// to that charge; pricing the state would change it.
+constexpr std::size_t kWireHeaderBytes = 64;
 
 }  // namespace
 
@@ -355,7 +350,7 @@ void GsReplica::post(int to, GsWireMessage m, bool with_state) {
     const net::NodeId dst = self->ha_->replica(to_id).host().node();
     try {
       co_await dg.send(
-          net::Datagram(src, dst, kGsPort, wire_bytes(msg), std::move(msg)));
+          net::Datagram(src, dst, kGsPort, kWireHeaderBytes, std::move(msg)));
     } catch (const Error&) {
       // Crashed or partitioned-away peer: silence is what the election
       // machinery is built to handle.

@@ -580,8 +580,9 @@ std::vector<load::HostLoadView> GlobalScheduler::build_views() const {
   // policies use it to avoid aiming at hosts with nothing to shed.)
   std::unordered_map<const os::Host*, int> movable;
   if (mpvm_ != nullptr) {
-    for (pvm::Task* t : vm_->all_tasks())
-      if (!t->exited()) ++movable[&t->pvmd().host()];
+    for (const auto& d : vm_->daemons())
+      if (!d->tasks().empty())
+        movable[&d->host()] += static_cast<int>(d->tasks().size());
   }
   if (upvm_ != nullptr) {
     for (int i = 0; i < upvm_->nulps(); ++i) {
@@ -611,7 +612,7 @@ std::vector<load::HostLoadView> GlobalScheduler::build_views() const {
           index = s->index();
           age = 0;
         }
-      } else if (const load::LoadEntry* e =
+      } else if (const std::optional<load::LoadEntry> e =
                      exchange_->entry_at(*gs_host_, h.name())) {
         index = e->index;
         age = now - e->stamp;
@@ -706,10 +707,11 @@ void GlobalScheduler::execute_rebalance(const load::PlacementAction& action) {
     sp.end_span(dec, obs::SpanStatus::kOk);
     return root;
   };
-  if (mpvm_ != nullptr) {
-    // Move one task.
-    for (pvm::Task* t : vm_->all_tasks()) {
-      if (t->exited() || &t->pvmd().host() != &host) continue;
+  const pvm::Pvmd* src_pvmd = vm_->daemon_on(host);
+  if (mpvm_ != nullptr && src_pvmd != nullptr) {
+    // Move one task (the loop breaks right after spawning its driver, so
+    // the daemon's list is never read after the move starts).
+    for (pvm::Task* t : src_pvmd->tasks()) {
       if (mpvm_->migrating(t->tid())) continue;
       if (!engine_.may_move(unit_of(t->tid()), now, policy_.min_residency))
         continue;
@@ -799,7 +801,7 @@ void GlobalScheduler::execute_rebalance(const load::PlacementAction& action) {
             os::Host& h = t->pvmd().host();
             double index = h.cpu().load();
             if (exchange_ != nullptr && gs_host_ != nullptr) {
-              if (const load::LoadEntry* e =
+              if (const std::optional<load::LoadEntry> e =
                       exchange_->entry_at(*gs_host_, h.name()))
                 index = e->index;
             }

@@ -10,12 +10,22 @@
 // eventually-consistent partial load map whose entries carry their age; the
 // PlacementEngine discounts or drops entries older than its staleness
 // bound rather than trusting them.
+//
+// Host time is dominated by this class at fleet scale, so agent state is
+// dense: a table indexed by agent number (vm.daemons() order) with names
+// only at the edges (view, entry_at, the round observer).  See DESIGN.md
+// §11.2 for the layout and why each shortcut keeps every virtual-time
+// output identical.
 #pragma once
 
-#include <map>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "util/flat_map.hpp"
 
 #include "load/sensor.hpp"
 #include "pvm/system.hpp"
@@ -58,9 +68,19 @@ class LoadExchange {
   /// `at` can actually know without central polling.
   [[nodiscard]] std::vector<LoadEntry> view(const os::Host& at) const;
 
-  /// The entry for `about` in `at`'s map; nullptr when never heard of.
-  [[nodiscard]] const LoadEntry* entry_at(const os::Host& at,
-                                          const std::string& about) const;
+  /// The entry for `about` in `at`'s map; nullopt when never heard of (or
+  /// garbage-collected).  For `about == at` this is the own entry as of
+  /// `at`'s last gossip round, not the live sensor.
+  [[nodiscard]] std::optional<LoadEntry> entry_at(
+      const os::Host& at, const std::string& about) const;
+
+  /// Diagnostics hook, called once per gossip round after the peers are
+  /// drawn: the sending host, the vector it sends (own entry first), and
+  /// the chosen peers in send order.
+  using RoundObserver = std::function<void(
+      const os::Host& from, const std::vector<LoadEntry>& vector,
+      const std::vector<const os::Host*>& peers)>;
+  void set_round_observer(RoundObserver obs) { observer_ = std::move(obs); }
 
   [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }
   [[nodiscard]] std::uint64_t entries_merged() const noexcept {
@@ -71,28 +91,94 @@ class LoadExchange {
   }
 
  private:
+  /// Stamp of a table slot that holds nothing.  Every real stamp is
+  /// finite, so "held entry at least as fresh" (stamp >= incoming) is
+  /// false for it.
+  static constexpr sim::Time kNever =
+      -std::numeric_limits<sim::Time>::infinity();
+
+  /// One gossiped entry, naming its host by agent number.
+  struct GossipItem {
+    std::uint32_t host = 0;
+    sim::Time stamp = 0;
+    LoadSample sample;
+
+    GossipItem() noexcept {}
+    GossipItem(std::uint32_t host_, sim::Time stamp_,
+               LoadSample sample_) noexcept
+        : host(host_), stamp(stamp_), sample(sample_) {}
+  };
+  /// Gossip payload: the sender's freshest entries, its own first.  One
+  /// immutable vector per round is shared by all of its datagrams (and by
+  /// duplicated deliveries).  Nothing on the path mutates it: the PVM
+  /// corrupt hook garbles only pvm::Message payloads.
+  using Gossip = std::shared_ptr<const std::vector<GossipItem>>;
+
   struct Agent {
     os::Host* host = nullptr;
+    std::uint32_t self = 0;  ///< this agent's number
     std::unique_ptr<LoadSensor> sensor;
-    /// Origin host name -> freshest known entry.  std::map: view() order
-    /// (and therefore placement order) is deterministic.
-    std::map<std::string, LoadEntry> map;
+    /// Dense load table indexed by agent number, allocated on first use
+    /// (so building a 1024-host exchange does not zero 32 MB up front).
+    /// stamp[j] == kNever: nothing ever heard about agent j; otherwise
+    /// sample[j] is its freshest entry.  The agent's own slot holds its
+    /// entry as of its last gossip round.
+    std::vector<sim::Time> stamp;
+    std::vector<LoadSample> sample;
+    /// Time of the last gossip round.  Aging out is lazy: a slot older than
+    /// 3x staleness_bound at that instant is not known() — exactly the
+    /// entries the round would have erased — and keeps its stamp until a
+    /// fresher merge overwrites it.
+    sim::Time aged_at = kNever;
+    /// The vector_cap - 1 freshest slots other than our own, best first
+    /// (stamp descending, then host name), aged-out ones included.  Stamps
+    /// only ever rise, so a merge is the only way into this list and each
+    /// merge re-ranks one slot: no round has to scan the table.
+    std::vector<std::uint32_t> fresh;
     sim::Rng rng;
 
     Agent() : rng(0) {}
-    Agent(os::Host* host_, std::unique_ptr<LoadSensor> sensor_, sim::Rng rng_)
-        : host(host_), sensor(std::move(sensor_)), rng(rng_) {}
+    Agent(os::Host* host_, std::uint32_t self_,
+          std::unique_ptr<LoadSensor> sensor_, sim::Rng rng_)
+        : host(host_), self(self_), sensor(std::move(sensor_)), rng(rng_) {}
   };
 
-  void receive(Agent& agent, const LoadGossip& gossip);
+  [[nodiscard]] const Agent* agent_on(const os::Host& host) const;
+  /// Allocate the agent's table (all kNever) on first use.
+  void ensure_table(Agent& agent);
+  /// A table slot or gossip item about agent `about`, named.
+  [[nodiscard]] LoadEntry entry_of(std::uint32_t about, sim::Time stamp,
+                                   const LoadSample& s) const;
+  /// Whether `agent` holds an entry about `j` (never heard and aged-out
+  /// slots do not count).
+  [[nodiscard]] bool known(const Agent& agent, std::uint32_t j) const;
+  /// Rank slot `j` (not in `agent.fresh`) into `agent.fresh`.
+  void offer_fresh(Agent& agent, std::uint32_t j) const;
+  void receive(Agent& agent, const std::vector<GossipItem>& gossip);
   void gossip_round(Agent& agent);
+  /// Draw min(fanout, live peers) distinct live peers of `agent` into
+  /// picks_: the same RNG draws and picks as a partial Fisher-Yates over
+  /// the materialized list of live peers.
+  void pick_peers(Agent& agent);
   [[nodiscard]] sim::Co<void> run_agent(Agent* agent, sim::Time until);
 
   pvm::PvmSystem* vm_;
   ExchangePolicy policy_;
   sim::Rng rng_;
   std::vector<std::unique_ptr<Agent>> agents_;
+  /// Agent numbers sorted by host name, and each agent's position in that
+  /// order: the name tie-break of the top-k as an integer compare.
+  std::vector<std::uint32_t> by_name_;
+  std::vector<std::uint32_t> name_rank_;
+  util::FlatMap<net::NodeId, std::uint32_t> by_node_;
+  // Per-round scratch for the peer draw: the drawn peers, the shuffle
+  // positions moved so far, and the live peers (scanned only while some
+  // host is down).
+  std::vector<std::uint32_t> picks_;
+  std::vector<std::pair<std::size_t, std::uint32_t>> moved_;
+  std::vector<std::uint32_t> live_;
   std::vector<sim::ProcHandle> loops_;
+  RoundObserver observer_;
   obs::Counter* sent_ctr_ = nullptr;
   obs::Counter* merged_ctr_ = nullptr;
   std::uint64_t rounds_ = 0;

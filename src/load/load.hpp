@@ -26,8 +26,8 @@ inline constexpr std::uint16_t kLoadPort = 1021;
 /// One host's load as known somewhere on the worknet.  `stamp` is the
 /// virtual time the *origin* sensor took the sample; age = now - stamp.
 ///
-/// User-provided constructors (not an aggregate): entries ride inside
-/// gossip payloads into send coroutines; see net::Datagram's GCC 12 note.
+/// User-provided constructors (not an aggregate), per net::Datagram's
+/// GCC 12 note.
 struct LoadEntry {
   std::string host;        ///< origin host name
   double index = 0;        ///< smoothed load index (sensor EWMA)
@@ -50,27 +50,29 @@ struct LoadEntry {
         stamp(stamp_) {}
 };
 
-/// Gossip payload: the sender's freshest entries (its own always first).
-struct LoadGossip {
-  std::string origin;  ///< sending host name
-  std::vector<LoadEntry> entries;
+/// A LoadEntry without its origin name and stamp: one slot of an exchange
+/// agent's dense load table, and of a gossip datagram.
+struct LoadSample {
+  double index = 0;
+  double instant = 0;
+  int external_jobs = 0;
+  bool owner_active = false;
+  bool up = true;
 
-  LoadGossip() noexcept {}
-  LoadGossip(std::string origin_, std::vector<LoadEntry> entries_)
-      : origin(std::move(origin_)), entries(std::move(entries_)) {}
+  LoadSample() noexcept {}
+  LoadSample(double index_, double instant_, int external_jobs_,
+             bool owner_active_, bool up_) noexcept
+      : index(index_),
+        instant(instant_),
+        external_jobs(external_jobs_),
+        owner_active(owner_active_),
+        up(up_) {}
 };
 
-/// Wire model of one gossip datagram: a fixed header plus a packed entry
-/// (8 B index + 8 B instant + 8 B stamp + 4 B external + 2 B flags + the
-/// host name) per vector slot.
+/// Wire charge of one gossip datagram: a fixed header.  The wire model also
+/// prices 30 B per entry (8 B index + 8 B instant + 8 B stamp + 4 B external
+/// + 2 B flags) plus the origin and entry host names, but that is not
+/// charged: see LoadExchange::gossip_round.
 inline constexpr std::size_t kGossipHeaderBytes = 16;
-inline constexpr std::size_t kGossipEntryFixedBytes = 30;
-
-[[nodiscard]] inline std::size_t gossip_wire_bytes(const LoadGossip& g) {
-  std::size_t n = kGossipHeaderBytes + g.origin.size();
-  for (const LoadEntry& e : g.entries)
-    n += kGossipEntryFixedBytes + e.host.size();
-  return n;
-}
 
 }  // namespace cpe::load

@@ -43,10 +43,15 @@ void LoadSensor::ingest(double v) {
 
 void LoadSensor::sample() { ingest(host_->cpu().load()); }
 
+LoadSample LoadSensor::reading() const {
+  return LoadSample(index_, instant_, host_->cpu().external_jobs(),
+                    host_->cpu().external_jobs() > 0, host_->up());
+}
+
 LoadEntry LoadSensor::entry() const {
-  return LoadEntry(host_->name(), index_, instant_,
-                   host_->cpu().external_jobs(),
-                   host_->cpu().external_jobs() > 0, host_->up(), last_);
+  const LoadSample r = reading();
+  return LoadEntry(host_->name(), r.index, r.instant, r.external_jobs,
+                   r.owner_active, r.up, last_);
 }
 
 void LoadSensor::start(sim::Time until) {

@@ -53,8 +53,11 @@ class LoadSensor {
   /// observer drives it on every runnable-set change).
   void sample();
 
-  /// The sensor's current state as a gossip entry stamped `now`.
+  /// The sensor's current state as a gossip entry, stamped with the time of
+  /// the last sample.
   [[nodiscard]] LoadEntry entry() const;
+  /// entry() without the host name and stamp (the stamp is last_sample()).
+  [[nodiscard]] LoadSample reading() const;
 
   /// Start the periodic poll until `until` (virtual time).
   void start(sim::Time until);

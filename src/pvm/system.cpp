@@ -29,12 +29,28 @@ Pvmd::~Pvmd() {
   sys_->network().datagrams().unbind(node_, kPvmdPort);
 }
 
+namespace {
+bool tid_less(const Task* a, const Task* b) {
+  return a->tid().raw() < b->tid().raw();
+}
+}  // namespace
+
 void Pvmd::attach(Task& t) {
   CPE_EXPECTS(local_.find(t.current_tid().raw()) == local_.end());
   local_[t.current_tid().raw()] = &t;
+  // Spawns here allocate increasing tids, so this is an append unless the
+  // task migrated in.
+  by_tid_.insert(
+      std::upper_bound(by_tid_.begin(), by_tid_.end(), &t, tid_less), &t);
 }
 
-void Pvmd::detach(Task& t) { local_.erase(t.current_tid().raw()); }
+void Pvmd::detach(Task& t) {
+  if (local_.erase(t.current_tid().raw()) == 0) return;
+  const auto it =
+      std::lower_bound(by_tid_.begin(), by_tid_.end(), &t, tid_less);
+  CPE_ASSERT(it != by_tid_.end() && *it == &t);
+  by_tid_.erase(it);
+}
 
 Task* Pvmd::local_by_current(Tid current) const {
   auto it = local_.find(current.raw());
@@ -281,8 +297,15 @@ Pvmd& PvmSystem::add_host(os::Host& host) {
   CPE_EXPECTS(daemon_on(host) == nullptr);
   daemons_.push_back(std::make_unique<Pvmd>(
       *this, host, static_cast<std::uint32_t>(daemons_.size())));
+  if (!host.up()) ++down_hosts_;
   host.add_observer([this](os::Host& h, os::HostEvent ev) {
-    if (ev == os::HostEvent::kCrash) handle_host_crash(h);
+    if (ev == os::HostEvent::kCrash) {
+      ++down_hosts_;
+      handle_host_crash(h);
+    } else if (ev == os::HostEvent::kRecover) {
+      CPE_ASSERT(down_hosts_ > 0);
+      --down_hosts_;
+    }
   });
   trace_.log("pvm", "pvmd started on " + host.name());
   return *daemons_.back();
@@ -414,9 +437,7 @@ std::vector<Task*> PvmSystem::all_tasks() const {
   for (const auto& [raw, t] : by_logical_) out.push_back(t.get());
   // The flat map's iteration order changes across rehash; sort by logical
   // tid so scans over the registry are deterministic run to run.
-  std::sort(out.begin(), out.end(), [](const Task* a, const Task* b) {
-    return a->tid().raw() < b->tid().raw();
-  });
+  std::sort(out.begin(), out.end(), tid_less);
   return out;
 }
 

@@ -79,6 +79,12 @@ class Pvmd {
   [[nodiscard]] std::size_t local_task_count() const noexcept {
     return local_.size();
   }
+  /// The tasks attached here (live ones: exit, kill and crash loss detach),
+  /// sorted by logical tid — the same order as PvmSystem::all_tasks(), so a
+  /// per-host scan visits tasks exactly as a filtered registry scan would.
+  [[nodiscard]] const std::vector<Task*>& tasks() const noexcept {
+    return by_tid_;
+  }
 
   /// Queue a message for a remote host; the pump sends in FIFO order.
   void enqueue_remote(Message m, net::NodeId dst_node);
@@ -120,6 +126,7 @@ class Pvmd {
   std::uint32_t index_;
   std::uint32_t next_task_num_ = 1;
   util::FlatMap<std::int32_t, Task*> local_;
+  std::vector<Task*> by_tid_;  ///< local_'s tasks, sorted by logical tid
   sim::Channel<Outgoing> outgoing_;
   sim::Channel<Inbound> inbound_;
   sim::ProcHandle pump_proc_;
@@ -189,6 +196,9 @@ class PvmSystem {
   }
   [[nodiscard]] Pvmd* daemon_on(const os::Host& host) const;
   [[nodiscard]] Pvmd* daemon_at(net::NodeId node) const;
+  /// VM hosts currently crashed (kept by the crash/recover observer that
+  /// add_host registers).  Zero means every daemon's host is up.
+  [[nodiscard]] std::size_t down_hosts() const noexcept { return down_hosts_; }
 
   /// Register an executable: what pvm_spawn("name", ...) starts.
   void register_program(const std::string& name, TaskMain main);
@@ -367,6 +377,7 @@ class PvmSystem {
   ForwardObserver forward_observer_;
   std::size_t next_spawn_host_ = 0;
   std::size_t live_tasks_ = 0;
+  std::size_t down_hosts_ = 0;
   struct ExitWatch {
     std::int32_t observer = 0;
     std::int32_t observed = 0;

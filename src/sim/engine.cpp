@@ -13,6 +13,21 @@ namespace {
 
 }  // namespace
 
+std::uint64_t CalendarQueue::virtual_bucket(Time t) const noexcept {
+  // t * inv_width_ can round across a bucket boundary, while every window
+  // bound the sweeps compare against is the product (v + 1) * width_.  An
+  // entry filed one bucket below its window is not swept with it and waits
+  // a whole lap — popped after later entries, or never found by the direct
+  // search.  Settle v against those same products (one step suffices: the
+  // quotient is off by a few ulps at most).
+  auto v = static_cast<std::uint64_t>(t * inv_width_);
+  if (t >= static_cast<Time>(v + 1) * width_)
+    ++v;
+  else if (v > 0 && t < static_cast<Time>(v) * width_)
+    --v;
+  return v;
+}
+
 void CalendarQueue::init_if_needed() {
   if (!buckets_.empty()) return;
   buckets_.resize(kMinBuckets);
@@ -34,9 +49,8 @@ void CalendarQueue::place(Entry e) {
     // has wandered, so it lands in the heap directly.  Without this, a long
     // idle gap would strand the anchor far behind and push every new entry
     // through overflow + rebuild.
-    const double q = e.t * inv_width_;
-    if (q < kMaxVirtualBucket) {
-      vcur_ = static_cast<std::uint64_t>(q);
+    if (e.t * inv_width_ < kMaxVirtualBucket) {
+      vcur_ = virtual_bucket(e.t);
       bucket_top_ = static_cast<Time>(vcur_ + 1) * width_;
     }
   }
@@ -54,7 +68,7 @@ void CalendarQueue::place(Entry e) {
     push_overflow(e);
     return;
   }
-  const std::uint64_t v = static_cast<std::uint64_t>(q);
+  const std::uint64_t v = virtual_bucket(e.t);
   // More than one wheel revolution out: park in overflow rather than letting
   // a far-future entry alias into the live lap, where every drained window
   // would have to sweep past it.  position() adopts overflow entries as the
@@ -133,8 +147,7 @@ bool CalendarQueue::position() {
           if (min == nullptr || entry_less(e, *min)) min = &e;
       CPE_ASSERT(min != nullptr);
       // Re-anchor the window at the minimum's own virtual bucket, sweep it.
-      const double q = min->t * inv_width_;
-      vcur_ = static_cast<std::uint64_t>(q);
+      vcur_ = virtual_bucket(min->t);
       bucket_top_ = static_cast<Time>(vcur_ + 1) * width_;
       const bool swept = sweep_bucket();
       CPE_ASSERT(swept);
@@ -245,9 +258,8 @@ void CalendarQueue::rebuild(std::size_t nbuckets) {
       have = true;
     }
   }
-  double q0 = have ? tmin * inv_width_ : 0.0;
-  if (!(q0 < kMaxVirtualBucket)) q0 = 0.0;
-  vcur_ = static_cast<std::uint64_t>(q0);
+  vcur_ = have && tmin * inv_width_ < kMaxVirtualBucket ? virtual_bucket(tmin)
+                                                         : 0;
   bucket_top_ = static_cast<Time>(vcur_ + 1) * width_;
 
   for (const Entry& e : all) place(e);  // count_ unchanged

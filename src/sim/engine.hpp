@@ -226,6 +226,9 @@ class CalendarQueue {
   static constexpr std::size_t kMinBuckets = 16;
 
   void init_if_needed();
+  /// floor(t / width_) as the window bounds see it.  Pre: t * inv_width_ <
+  /// kMaxVirtualBucket.
+  [[nodiscard]] std::uint64_t virtual_bucket(Time t) const noexcept;
   /// Route one entry to the heap, a bucket, or overflow.  No bookkeeping.
   void place(Entry e);
   /// Park a far-future entry in the overflow min-heap.

@@ -193,6 +193,28 @@ TEST(HaElection, LeaderStateIsReplicatedToFollowers) {
   }
 }
 
+TEST(HaElection, WireMessagesAreChargedTheHeaderOnly) {
+  // The charged size is pinned to what the original build charged (its
+  // size expression read a moved-from message): a 64-byte header per
+  // message, even for heartbeats whose state carries a journal.  No tasks
+  // run, so replica traffic is the only traffic.
+  HaWorknet w;
+  HaScheduler ha(w.vm, w.gs_hosts());
+  ha.start(10.0);
+  auto driver = [&]() -> sim::Proc {
+    co_await sim::Delay(w.eng, 1.0);
+    ha.on_owner_event(
+        os::OwnerEvent(w.eng.now(), w.host1, os::OwnerAction::kReclaim, 1));
+  };
+  sim::spawn(w.eng, driver());
+  w.eng.run();  // drain: no send may be left in flight at teardown
+  ASSERT_FALSE(ha.replica(1).core().journal().empty());
+  const auto& dg = w.net.datagrams();
+  ASSERT_GT(dg.datagrams_sent(), 0u);
+  EXPECT_EQ(dg.unreliable_sent(), 0u);
+  EXPECT_EQ(dg.payload_bytes_sent(), 64u * dg.datagrams_sent());
+}
+
 TEST(HaElection, DuplicatedVoteGrantsCannotForgeAMajority) {
   // Five replicas, majority three.  The bootstrap leader and two others
   // crash, leaving two survivors: one candidate plus one voter is only two

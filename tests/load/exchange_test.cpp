@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "support/pvm_fixture.hpp"
 
@@ -25,8 +28,8 @@ TEST_F(WorknetFixture, GossipBuildsAFullMapOnASmallWorknet) {
   EXPECT_GT(x.rounds(), 0u);
   EXPECT_GT(x.entries_merged(), 0u);
   // host2's map has host1's load (gossiped, not polled).
-  const LoadEntry* e = x.entry_at(host2, "host1");
-  ASSERT_NE(e, nullptr);
+  const std::optional<LoadEntry> e = x.entry_at(host2, "host1");
+  ASSERT_TRUE(e.has_value());
   EXPECT_GT(e->index, 2.0);  // EWMA converging toward 4
   EXPECT_TRUE(e->owner_active);
 }
@@ -46,8 +49,8 @@ TEST_F(WorknetFixture, EntriesCarryTheOriginStampNotTheArrivalTime) {
   LoadExchange x(vm);
   x.start(10.0);
   eng.run_until(10.0);
-  const LoadEntry* e = x.entry_at(host2, "host1");
-  ASSERT_NE(e, nullptr);
+  const std::optional<LoadEntry> e = x.entry_at(host2, "host1");
+  ASSERT_TRUE(e.has_value());
   EXPECT_LE(e->stamp, eng.now());
   EXPECT_GE(e->stamp, 0.0);
 }
@@ -65,8 +68,8 @@ TEST_F(WorknetFixture, CrashedHostEntriesAgeOutOfTheMaps) {
   eng.run_until(40.0);
   // sparc stopped refreshing at t=5; by t=40 its last entry is far past
   // 3x the staleness bound and must have been garbage-collected.
-  EXPECT_EQ(x.entry_at(host1, "sparc1"), nullptr);
-  EXPECT_EQ(x.entry_at(host2, "sparc1"), nullptr);
+  EXPECT_FALSE(x.entry_at(host1, "sparc1").has_value());
+  EXPECT_FALSE(x.entry_at(host2, "sparc1").has_value());
 }
 
 TEST_F(WorknetFixture, CrashedHostNeitherSendsNorWedgesTheExchange) {
@@ -79,8 +82,8 @@ TEST_F(WorknetFixture, CrashedHostNeitherSendsNorWedgesTheExchange) {
   sim::spawn(eng, driver(&eng, &host2));
   eng.run_until(20.0);  // must not throw DeliveryError out of the loops
   // The survivors still gossip to each other.
-  EXPECT_NE(x.entry_at(host1, "sparc1"), nullptr);
-  EXPECT_NE(x.entry_at(sparc, "host1"), nullptr);
+  EXPECT_TRUE(x.entry_at(host1, "sparc1").has_value());
+  EXPECT_TRUE(x.entry_at(sparc, "host1").has_value());
 }
 
 TEST_F(WorknetFixture, GossipUsesUnreliableDatagrams) {
@@ -89,6 +92,46 @@ TEST_F(WorknetFixture, GossipUsesUnreliableDatagrams) {
   eng.run_until(10.0);
   EXPECT_GT(net.datagrams().unreliable_sent(), 0u);
   EXPECT_GT(vm.metrics().counter("load.gossip.sent").value(), 0u);
+}
+
+TEST_F(WorknetFixture, GossipDatagramsAreChargedTheHeaderOnly) {
+  // The charged size is pinned to what the original build charged (its
+  // size expression read a moved-from payload): kGossipHeaderBytes per
+  // datagram, whatever the vector holds.  Gossip is the only traffic here.
+  LoadExchange x(vm);
+  x.start(10.0);
+  eng.run_until(10.0);
+  const auto& dg = net.datagrams();
+  ASSERT_GT(dg.unreliable_sent(), 0u);
+  EXPECT_EQ(dg.payload_bytes_sent(), kGossipHeaderBytes * dg.unreliable_sent());
+}
+
+TEST_F(WorknetFixture, PeerSamplingSkipsADownHost) {
+  // Once host2 is down, every round at host1 and sparc1 must target the
+  // only other live host (the scanned draw), then all hosts again after
+  // host2 recovers (the implicit draw).
+  ExchangePolicy p;
+  p.fanout = 1;
+  LoadExchange x(vm, p);
+  std::vector<std::string> down_targets;
+  std::size_t after_recover = 0;
+  x.set_round_observer([&](const os::Host& from, const std::vector<LoadEntry>&,
+                           const std::vector<const os::Host*>& peers) {
+    ASSERT_EQ(peers.size(), 1u);
+    if (!host2.up()) down_targets.push_back(from.name() + ">" +
+                                            peers[0]->name());
+    else if (eng.now() > 12.0 && peers[0] == &host2)
+      ++after_recover;
+  });
+  x.start(20.0);
+  eng.schedule_at(2.0, [this] { host2.crash(); });
+  eng.schedule_at(10.0, [this] { host2.recover(); });
+  eng.run_until(20.0);
+  ASSERT_FALSE(down_targets.empty());
+  for (const std::string& t : down_targets)
+    EXPECT_TRUE(t == "host1>sparc1" || t == "sparc1>host1") << t;
+  EXPECT_GT(after_recover, 0u);
+  EXPECT_EQ(vm.down_hosts(), 0u);
 }
 
 TEST(GossipAdversary, DuplicatedGossipMergesExactlyOnce) {

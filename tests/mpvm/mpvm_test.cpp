@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "support/pvm_fixture.hpp"
 
 namespace cpe::mpvm {
@@ -477,6 +480,78 @@ TEST_F(MpvmTest, LostFlushAckIsRetriedOnceBeforeCharging) {
   EXPECT_EQ(victim_final, &host2);
   EXPECT_TRUE(peer_done);
   EXPECT_EQ(mpvm.history().size(), 1u);
+}
+
+/// The logical tids of a daemon's task list, in list order.
+std::vector<std::int32_t> tids_on(const pvm::Pvmd& d) {
+  std::vector<std::int32_t> out;
+  for (const Task* t : d.tasks()) out.push_back(t->tid().raw());
+  return out;
+}
+
+/// The registry scan the per-daemon list replaces: live tasks on `host`,
+/// in all_tasks() (logical tid) order.
+std::vector<std::int32_t> scanned_on(const pvm::PvmSystem& vm,
+                                     const os::Host& host) {
+  std::vector<std::int32_t> out;
+  for (const Task* t : vm.all_tasks())
+    if (!t->exited() && &t->pvmd().host() == &host)
+      out.push_back(t->tid().raw());
+  return out;
+}
+
+TEST_F(MpvmTest, DaemonTaskListTracksSpawnExitMigrationAndCrash) {
+  vm.register_program("long", [](Task& t) -> sim::Co<void> {
+    t.process().image().data_bytes = 10'000;
+    co_await t.compute(60.0);
+  });
+  vm.register_program("short", [](Task& t) -> sim::Co<void> {
+    co_await t.compute(2.0);
+  });
+  pvm::Pvmd& d1 = *vm.daemon_on(host1);
+  pvm::Pvmd& d2 = *vm.daemon_on(host2);
+  pvm::Pvmd& d3 = *vm.daemon_on(sparc);
+  std::vector<Tid> on1, on2;
+  auto check_all = [&] {
+    for (const pvm::Pvmd* d : {&d1, &d2, &d3}) {
+      const std::vector<std::int32_t> got = tids_on(*d);
+      EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+      EXPECT_EQ(got, scanned_on(vm, d->host())) << d->host().name();
+    }
+  };
+  auto driver = [&]() -> sim::Proc {
+    on2 = co_await vm.spawn("long", 2, "host2");
+    on1 = co_await vm.spawn("long", 2, "host1");
+    co_await vm.spawn("short", 1, "host1");
+    check_all();
+    EXPECT_EQ(d1.tasks().size(), 3u);
+    co_await sim::Delay(eng, 10.0);  // the short task has exited
+    check_all();
+    EXPECT_EQ(d1.tasks().size(), 2u);
+    // host2's first task migrates in: it joins host1's list in logical-tid
+    // order and leaves host2's.
+    const MigrationStats st = co_await mpvm.migrate(on2[0], host1);
+    EXPECT_TRUE(st.ok);
+    check_all();
+    EXPECT_EQ(d1.tasks().size(), 3u);
+    EXPECT_EQ(tids_on(d2), std::vector<std::int32_t>{on2[1].raw()});
+    // A crash loses host2's remaining task: it leaves the list but stays in
+    // the registry, which is why crash handling still scans all_tasks().
+    host2.crash();
+    EXPECT_TRUE(d2.tasks().empty());
+    const Task* lost = vm.find_logical(on2[1]);
+    EXPECT_TRUE(lost != nullptr && lost->exited());
+    check_all();
+    EXPECT_EQ(vm.down_hosts(), 1u);
+    host2.recover();
+    EXPECT_EQ(vm.down_hosts(), 0u);
+    for (const Tid t : on1) vm.kill(t);
+    vm.kill(on2[0]);
+    check_all();
+    EXPECT_TRUE(d1.tasks().empty());
+  };
+  sim::spawn(eng, driver());
+  run_all();
 }
 
 }  // namespace

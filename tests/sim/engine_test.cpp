@@ -496,5 +496,31 @@ TEST(Engine, OverflowEntriesFireInOrderAsWindowAdvances) {
   EXPECT_EQ(fired, expect);
 }
 
+TEST(Engine, TimestampsOnRoundedBucketBoundariesFireInOrder) {
+  // Decimal grids are inexact in binary, so an event can sit exactly on a
+  // window bound (v + 1) * width while t / width rounds to just below v + 1.
+  // Filed by the rounded quotient, such an entry missed its window's sweep
+  // and waited a lap: popped out of order, or (below) not found at all by
+  // the direct search.  Here the rebuild after the first pop sizes buckets
+  // to 118.65 s and 0.7 * 339 lands exactly on 2 * 118.65.
+  const auto run_grid = [](double step, std::vector<int> ks) {
+    Engine eng;
+    std::vector<double> fired;
+    std::vector<double> expect;
+    for (int k : ks) {
+      const double t = step * k;
+      eng.schedule_at(t, [&fired, t] { fired.push_back(t); });
+      expect.push_back(t);
+    }
+    eng.run();
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(fired, expect) << "grid step " << step;
+  };
+  run_grid(0.7, {4, 339, 313, 226});
+  run_grid(1.0 / 3.0, {178, 34, 12, 333, 20, 333, 274, 235, 346, 40, 49,
+                       325, 129, 342, 112, 27, 58, 238, 64, 280, 284, 83,
+                       108});
+}
+
 }  // namespace
 }  // namespace cpe::sim
