@@ -30,6 +30,12 @@
 //    pending, and it grows only logarithmically.  A 5x demand here would be
 //    asking the benchmark to lie; the floor instead catches regressions.
 //
+// The analytics-overhead gate is different: it compares two runs of the same
+// engine whose true gap is a few percent, below the run-to-run drift of a
+// shared host and the effect of run order.  So it runs interleaved
+// plain/metered pairs and gates on the median per-pair overhead (see
+// measure_overhead).
+//
 // --smoke mode runs ~1/8th the events with loose 1.5x floors so CI can
 // afford it per-commit: at that scale the legacy heap is half cache-resident
 // and a loaded CI box adds noise, so it exists to catch "the calendar queue
@@ -166,6 +172,10 @@ class Engine {
 namespace {
 
 constexpr int kRepeats = 3;
+/// Plain/metered pairs behind the analytics-overhead gate (odd, so the
+/// median is one pair's reading).  A burst of host noise skews the pair it
+/// lands in by 10-20 %; the median of 21 stays put unless most pairs are hit.
+constexpr int kOverheadPairs = 21;
 
 /// Deterministic xorshift64*: cheap enough that the RNG never becomes the
 /// thing being measured.
@@ -342,6 +352,49 @@ double best_of(Fn&& fn) {
   return best;
 }
 
+/// Quantile `q` of `v` by linear interpolation between order statistics.
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/// Telemetry overhead from interleaved A/B trials.  Each pair runs the plain
+/// and the metered hold back to back, alternating which side goes first, so
+/// host-speed drift and run-order effects (allocator and page-cache state
+/// left by the previous run) fall on both sides alike.  The gate reads the
+/// median of the per-pair overheads 1 - metered/plain.
+struct OverheadTrials {
+  int pairs = 0;
+  double plain_eps = 0;    ///< median over pairs
+  double metered_eps = 0;  ///< median over pairs
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+};
+
+OverheadTrials measure_overhead(std::size_t npending, std::size_t nevents) {
+  std::vector<double> plain, metered, overhead;
+  for (int i = 0; i < kOverheadPairs; ++i) {
+    double p = 0, m = 0;
+    if (i % 2 == 0) {
+      p = run_hold<cpe::sim::Engine>(npending, nevents);
+      m = run_hold_metered(npending, nevents);
+    } else {
+      m = run_hold_metered(npending, nevents);
+      p = run_hold<cpe::sim::Engine>(npending, nevents);
+    }
+    plain.push_back(p);
+    metered.push_back(m);
+    overhead.push_back(1.0 - m / p);
+  }
+  return {kOverheadPairs,       quantile(plain, 0.5),
+          quantile(metered, 0.5), quantile(overhead, 0.5),
+          quantile(overhead, 0.25), quantile(overhead, 0.75)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -390,19 +443,22 @@ int main(int argc, char** argv) {
   }
 
   // Telemetry overhead: the hold workload with the metrics counter and the
-  // Analytics sampler left on, against the plain calendar run above.  Full
-  // mode gates at 2% (the acceptance bar for always-on telemetry); smoke
-  // loosens to 10% — at 1/8th scale one scheduler hiccup on a shared CI
-  // box is worth more than 2% of the run.
+  // Analytics sampler left on, against the plain calendar engine, measured
+  // in interleaved pairs.  Full mode gates the median pair at 2% (the
+  // acceptance bar for always-on telemetry); smoke loosens to 10% — at
+  // 1/8th scale one scheduler hiccup on a shared CI box is worth more than
+  // 2% of a run.
   const double overhead_limit = smoke ? 0.10 : 0.02;
-  const double metered_eps =
-      best_of([&] { return run_hold_metered(hold_pending, hold_events); });
-  const double plain_eps = rows[0].cal_eps;
-  const double overhead = 1.0 - metered_eps / plain_eps;
+  const OverheadTrials ov = measure_overhead(hold_pending, hold_events);
+  const double overhead = ov.median;
   const bool overhead_ok = overhead <= overhead_limit;
   pass = pass && overhead_ok;
   std::printf("  %-14s %14s %14.0f %7.2f%% %5.0f%%\n", "hold_metered", "-",
-              metered_eps, overhead * 100.0, overhead_limit * 100.0);
+              ov.metered_eps, overhead * 100.0, overhead_limit * 100.0);
+  std::printf("  %-14s median of %d interleaved pairs vs plain %.0f ev/s; "
+              "overhead quartiles %.2f%% .. %.2f%% (spread %.2f%%)\n",
+              "", ov.pairs, ov.plain_eps, ov.q1 * 100.0, ov.q3 * 100.0,
+              (ov.q3 - ov.q1) * 100.0);
 
   // The headline ratio is timer_churn's: the acceptance bar for the rework.
   const Row& headline = rows.back();
@@ -428,9 +484,12 @@ int main(int argc, char** argv) {
         << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     f << "  ],\n"
-      << "  \"analytics\": {\"plain_eps\": " << plain_eps
-      << ", \"metered_eps\": " << metered_eps
+      << "  \"analytics\": {\"pairs\": " << ov.pairs
+      << ", \"plain_eps\": " << ov.plain_eps
+      << ", \"metered_eps\": " << ov.metered_eps
       << ", \"overhead\": " << overhead
+      << ", \"overhead_q1\": " << ov.q1
+      << ", \"overhead_q3\": " << ov.q3
       << ", \"overhead_limit\": " << overhead_limit << "},\n"
       << "  \"gates\": {\"pass\": " << (pass ? "true" : "false")
       << ", \"speedup_ratio\": " << headline.speedup()

@@ -257,15 +257,20 @@ def check_sim_throughput():
     an = doc.get("analytics")
     if not isinstance(an, dict):
         fail("missing analytics overhead block")
-    for key in ("plain_eps", "metered_eps", "overhead", "overhead_limit"):
+    for key in ("pairs", "plain_eps", "metered_eps", "overhead",
+                "overhead_q1", "overhead_q3", "overhead_limit"):
         if not finite(an.get(key)):
             fail(f"analytics: non-finite {key}")
+    if not an["overhead_q1"] <= an["overhead"] <= an["overhead_q3"]:
+        fail("analytics: median overhead outside its quartiles")
     check_gate_ratio(doc["gates"], "analytics_overhead",
                      "analytics_overhead_limit", at_most=True)
     print("sim bench (%s): " % doc["mode"]
           + ", ".join(f"{w['name']}={w['speedup']:.2f}x" for w in workloads)
-          + ", analytics overhead %.2f%% <= %.0f%%"
-          % (an["overhead"] * 100, an["overhead_limit"] * 100))
+          + ", analytics overhead %.2f%% <= %.0f%% (median of %d pairs, "
+          "quartiles %.2f%% .. %.2f%%)"
+          % (an["overhead"] * 100, an["overhead_limit"] * 100, an["pairs"],
+             an["overhead_q1"] * 100, an["overhead_q3"] * 100))
 
 # BENCH_analytics.json: the critical-path attribution document (DESIGN.md
 # §14).  Percentiles must be finite and ordered, dominant-stage counts must
@@ -475,6 +480,12 @@ run_bench_service() {
   validate_bench_json build/BENCH_service.json
   validate_bench_json build/BENCH_analytics.json
   validate_trace build/BENCH_service_trace.json
+  # Run-twice determinism check for the daemon route (frame CRC, datagram
+  # handler lookup): a second run must reproduce every virtual-time field
+  # of BENCH_service.json.
+  cp build/BENCH_service.json build/BENCH_service.first.json
+  ( cd build && ./bench/bench_service_tail --smoke > /dev/null )
+  same_virtual_fields build/BENCH_service.first.json build/BENCH_service.json
 }
 
 # The Chrome trace export must be strict JSON with a non-empty traceEvents

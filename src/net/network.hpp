@@ -13,6 +13,7 @@
 #include "net/ethernet.hpp"
 #include "sim/channel.hpp"
 #include "sim/random.hpp"
+#include "util/flat_map.hpp"
 
 namespace cpe::net {
 
@@ -133,6 +134,8 @@ class DatagramService {
   void set_corrupt_hook(CorruptHook hook) { corrupt_hook_ = std::move(hook); }
 
   /// Register the receive handler for (node, port).  One handler per pair.
+  /// A running handler lives in the table, so it must not bind or unbind
+  /// synchronously (schedule the change instead).
   void bind(NodeId node, std::uint16_t port, Handler handler);
   void unbind(NodeId node, std::uint16_t port);
 
@@ -252,7 +255,7 @@ class DatagramService {
   sim::Rng rng_;
   AdversaryParams adversary_;
   CorruptHook corrupt_hook_;
-  std::vector<std::pair<std::uint64_t, Handler>> handlers_;
+  util::FlatMap<std::uint64_t, Handler> handlers_;  ///< by key_of(node, port)
   std::uint64_t sent_ = 0;
   std::uint64_t unreliable_sent_ = 0;
   std::uint64_t retransmits_ = 0;

@@ -39,24 +39,42 @@ template <class T>
   return std::bit_cast<T>(bits);
 }
 
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven.
-constexpr std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
+// CRC-32 (IEEE 802.3, reflected 0xEDB88320), slicing-by-8: table k maps a
+// byte to its CRC contribution when followed by k zero bytes, so eight
+// input bytes fold into the register with eight independent lookups.
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Crc32Tables make_crc32_tables() {
+  Crc32Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+  return t;
 }
-constexpr std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table();
+constexpr Crc32Tables kCrc32 = make_crc32_tables();
 
 std::uint32_t crc32_update(std::uint32_t crc, const void* data,
                            std::size_t n) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i)
-    crc = kCrc32Table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    if constexpr (std::endian::native == std::endian::big)
+      word = byteswap(word);
+    const auto lo = static_cast<std::uint32_t>(word) ^ crc;
+    const auto hi = static_cast<std::uint32_t>(word >> 32);
+    crc = kCrc32[7][lo & 0xFFu] ^ kCrc32[6][(lo >> 8) & 0xFFu] ^
+          kCrc32[5][(lo >> 16) & 0xFFu] ^ kCrc32[4][lo >> 24] ^
+          kCrc32[3][hi & 0xFFu] ^ kCrc32[2][(hi >> 8) & 0xFFu] ^
+          kCrc32[1][(hi >> 16) & 0xFFu] ^ kCrc32[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = kCrc32[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc;
 }
 
@@ -65,10 +83,13 @@ std::uint32_t crc32_update(std::uint32_t crc, const void* data,
 std::uint32_t Buffer::crc32() const noexcept {
   std::uint32_t crc = 0xFFFFFFFFu;
   for (const Item& it : items_) {
-    const std::uint8_t tag = static_cast<std::uint8_t>(it.tag);
-    const std::uint64_t count = it.count;
-    crc = crc32_update(crc, &tag, sizeof(tag));
-    crc = crc32_update(crc, &count, sizeof(count));
+    // Item header on the wire: tag byte, then the 64-bit count little-endian.
+    std::array<unsigned char, 1 + sizeof(std::uint64_t)> header;
+    header[0] = static_cast<unsigned char>(it.tag);
+    const auto count = static_cast<std::uint64_t>(it.count);
+    for (std::size_t k = 0; k < sizeof(count); ++k)
+      header[1 + k] = static_cast<unsigned char>(count >> (8 * k));
+    crc = crc32_update(crc, header.data(), header.size());
     crc = crc32_update(crc, payload(it), it.size);
   }
   return crc ^ 0xFFFFFFFFu;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <any>
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -59,6 +62,95 @@ TEST_F(DatagramFixture, RebindReplacesHandler) {
   eng.run();
   EXPECT_EQ(first, 0);
   EXPECT_EQ(second, 1);
+}
+
+TEST(DatagramHandlerTable, ChurnAcrossThousandsOfBindingsKeepsEveryKey) {
+  // Two ports on each of 2048 nodes is enough keys for long probe chains;
+  // unbinding every third binding then exercises erase in the middle of
+  // them, and rebinding some of those reuses the freed slots.
+  constexpr std::size_t kNodes = 2048;
+  constexpr std::uint16_t kPorts[] = {7, 9};
+  sim::Engine eng;
+  Network net{eng};
+  const NodeId sender = net.add_node("sender");
+  struct Binding {
+    NodeId node;
+    std::uint16_t port;
+    bool bound = true;
+    int generation = 1;  ///< 2 once rebound
+    int hits = 0;
+  };
+  std::vector<Binding> bindings;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    const NodeId n = net.add_node("n" + std::to_string(i));
+    for (const std::uint16_t p : kPorts) bindings.push_back({n, p});
+  }
+  DatagramService& dg = net.datagrams();
+  auto bind = [&](std::size_t b, int generation) {
+    Binding& bd = bindings[b];
+    bd.bound = true;
+    bd.generation = generation;
+    dg.bind(bd.node, bd.port, [&bindings, b, generation](Datagram d) {
+      Binding& self = bindings[b];
+      EXPECT_EQ(d.dst, self.node);
+      EXPECT_EQ(d.port, self.port);
+      EXPECT_EQ(generation, self.generation) << "stale handler ran";
+      EXPECT_EQ(std::any_cast<std::size_t>(d.payload), b);
+      ++self.hits;
+    });
+  };
+  for (std::size_t b = 0; b < bindings.size(); ++b) bind(b, 1);
+  for (std::size_t b = 0; b < bindings.size(); b += 3) {
+    dg.unbind(bindings[b].node, bindings[b].port);
+    bindings[b].bound = false;
+  }
+  for (std::size_t b = 0; b < bindings.size(); b += 9) bind(b, 2);
+
+  // One process sends a datagram to every binding whose state is `bound`.
+  auto send_all = [&](bool bound) {
+    auto body = [](DatagramService* d,
+                   std::vector<Datagram> sends) -> sim::Proc {
+      for (Datagram& dgram : sends) co_await d->send(std::move(dgram));
+    };
+    std::vector<Datagram> sends;
+    for (std::size_t b = 0; b < bindings.size(); ++b)
+      if (bindings[b].bound == bound)
+        sends.push_back(
+            Datagram{sender, bindings[b].node, bindings[b].port, 16, b});
+    sim::spawn(eng, body(&dg, std::move(sends)));
+    eng.run();
+  };
+
+  // Every live key reaches its own (latest) handler exactly once.
+  send_all(true);
+  std::size_t unbound = 0;
+  for (const Binding& bd : bindings) {
+    EXPECT_EQ(bd.hits, bd.bound ? 1 : 0);
+    if (!bd.bound) ++unbound;
+  }
+  ASSERT_GT(unbound, bindings.size() / 5);
+
+  // An unbound key throws through the synchronous delivery path.
+  for (std::size_t b = 0; b < bindings.size(); ++b) {
+    if (bindings[b].bound) continue;
+    auto body = [](DatagramService* d, Datagram dgram) -> sim::Proc {
+      co_await d->send(std::move(dgram));
+    };
+    sim::spawn(eng, body(&dg, Datagram{sender, bindings[b].node,
+                                       bindings[b].port, 16, b}));
+    EXPECT_THROW(eng.run(), Error) << "binding " << b;
+  }
+
+  // Through the jittered (deferred) path an unbound key is a counted drop.
+  ASSERT_EQ(dg.drops_total(), 0u);
+  net.set_adversary({.reorder_probability = 1.0, .reorder_horizon = 0.01});
+  send_all(false);
+  EXPECT_EQ(dg.reorders_injected(), unbound);
+  EXPECT_EQ(dg.drops_total(), unbound);
+  std::map<NodeId, std::uint64_t> unbound_at;
+  for (const Binding& bd : bindings) unbound_at[bd.node] += bd.bound ? 0 : 1;
+  for (const auto& [node, n] : unbound_at)
+    EXPECT_EQ(dg.drops_to(node), n) << "node " << node;
 }
 
 TEST_F(DatagramFixture, LargeMessageFragmentsOnTheWire) {

@@ -3,6 +3,10 @@
 // defenses exercised over a genuinely adversarial fabric.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "pvm/system.hpp"
@@ -51,6 +55,135 @@ TEST(BufferCrc, CorruptBitOnEmptyBufferIsANoop) {
   const std::uint32_t before = a.crc32();
   a.corrupt_bit(99);
   EXPECT_EQ(a.crc32(), before);
+}
+
+// Known answers: an independent bit-at-a-time CRC-32 over a hand-built wire
+// image.  Per item the image is the tag byte (pack-API order: int, uint,
+// long, float, double, byte, string), the element count as 8 bytes
+// little-endian, then the encoded payload.  Any kernel change that moves a
+// stamped Message::crc fails here.
+class WireImage {
+ public:
+  void item(std::uint8_t tag, std::uint64_t count,
+            const std::vector<std::uint8_t>& payload) {
+    bytes_.push_back(tag);
+    for (int k = 0; k < 8; ++k)
+      bytes_.push_back(static_cast<std::uint8_t>(count >> (8 * k)));
+    bytes_.insert(bytes_.end(), payload.begin(), payload.end());
+  }
+  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
+    return bytes_;
+  }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+};
+
+std::uint32_t bitwise_crc32(const std::vector<std::uint8_t>& data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) {
+    crc ^= b;
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+constexpr std::uint8_t kTagInt = 0, kTagUint = 1, kTagLong = 2,
+                       kTagFloat = 3, kTagDouble = 4, kTagByte = 5,
+                       kTagStr = 6;
+
+/// `n` bytes of a pattern that differs per (seed, position).
+std::vector<std::uint8_t> pattern(std::size_t n, unsigned seed) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = static_cast<std::uint8_t>(i * 131u + seed * 17u + 7u);
+  return v;
+}
+
+std::span<const std::byte> as_bytes(const std::vector<std::uint8_t>& v) {
+  return std::as_bytes(std::span<const std::uint8_t>(v));
+}
+
+/// Scalar values in their encoded form: big-endian for XDR, host order
+/// (little-endian on every supported target) for raw.
+template <class T>
+std::vector<std::uint8_t> encoded(const std::vector<T>& vals, Encoding enc) {
+  std::vector<std::uint8_t> out;
+  for (const T& v : vals) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(T));
+    for (std::size_t k = 0; k < sizeof(T); ++k) {
+      const std::size_t shift =
+          enc == Encoding::kDefault ? 8 * (sizeof(T) - 1 - k) : 8 * k;
+      out.push_back(static_cast<std::uint8_t>(bits >> shift));
+    }
+  }
+  return out;
+}
+
+TEST(BufferCrc, ReferenceKernelMatchesTheIeeeCheckValue) {
+  const std::vector<std::uint8_t> check = {'1', '2', '3', '4', '5',
+                                           '6', '7', '8', '9'};
+  ASSERT_EQ(bitwise_crc32(check), 0xCBF43926u);
+
+  Buffer b;
+  b.pk_byte(as_bytes(check));
+  WireImage w;
+  w.item(kTagByte, check.size(), check);
+  EXPECT_EQ(b.crc32(), bitwise_crc32(w.bytes()));
+}
+
+TEST(BufferCrc, MatchesReferenceForEveryLengthAndArenaOffset) {
+  for (std::size_t len = 0; len <= 70; ++len) {
+    for (std::size_t lead = 0; lead < 8; ++lead) {
+      // A leading item of `lead` bytes shifts the payload's arena offset.
+      const auto head = pattern(lead, 1);
+      const auto body = pattern(len, static_cast<unsigned>(len + lead));
+      Buffer b;
+      b.pk_byte(as_bytes(head));
+      b.pk_byte(as_bytes(body));
+      WireImage w;
+      w.item(kTagByte, head.size(), head);
+      w.item(kTagByte, body.size(), body);
+      EXPECT_EQ(b.crc32(), bitwise_crc32(w.bytes()))
+          << "len " << len << " lead " << lead;
+    }
+  }
+}
+
+TEST(BufferCrc, MatchesReferenceForMultiItemBuffersOfEveryTag) {
+  const std::vector<std::int32_t> ints = {0, -1, 42, 0x12345678};
+  const std::vector<std::uint32_t> uints = {7u, 0xDEADBEEFu, 0u};
+  const std::vector<std::int64_t> longs = {-2, 0x0102030405060708LL};
+  const std::vector<float> floats = {1.5f, -0.0f, 3.25e7f};
+  const std::vector<double> doubles = {2.0, -1e-300, 0.1, 7.0, 9.5};
+  const auto raw = pattern(13, 3);
+  const std::string str = "pvm frame checksum";
+  const std::vector<std::uint8_t> str_bytes(str.begin(), str.end());
+
+  for (const Encoding enc : {Encoding::kDefault, Encoding::kRaw}) {
+    Buffer b(enc);
+    b.pk_int(ints);
+    b.pk_uint(uints);
+    b.pk_long(longs);
+    b.pk_float(floats);
+    b.pk_double(doubles);
+    b.pk_byte(as_bytes(raw));
+    b.pk_str(str);
+    b.pk_int(std::vector<std::int32_t>{});
+
+    WireImage w;
+    w.item(kTagInt, ints.size(), encoded(ints, enc));
+    w.item(kTagUint, uints.size(), encoded(uints, enc));
+    w.item(kTagLong, longs.size(), encoded(longs, enc));
+    w.item(kTagFloat, floats.size(), encoded(floats, enc));
+    w.item(kTagDouble, doubles.size(), encoded(doubles, enc));
+    w.item(kTagByte, raw.size(), raw);
+    w.item(kTagStr, str.size(), str_bytes);
+    w.item(kTagInt, 0, {});
+    EXPECT_EQ(b.crc32(), bitwise_crc32(w.bytes())) << to_string(enc);
+  }
 }
 
 // ---------------------------------------------------------------------------
